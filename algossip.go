@@ -44,6 +44,9 @@ type (
 	Transport = runtime.Transport
 	// TransportStats snapshots a transport's send/drop/redial counters.
 	TransportStats = runtime.TransportStats
+	// ChaosConfig sets the degradation a chaos transport injects:
+	// latency, jitter, corruption, partitions and i.i.d. loss.
+	ChaosConfig = runtime.ChaosConfig
 	// Envelope is the wire message moved by Transports.
 	Envelope = runtime.Envelope
 )
@@ -116,8 +119,8 @@ var (
 	NewTCPTransport = runtime.NewTCPTransport
 	// NewUDPTransport returns the one-frame-per-datagram UDP transport.
 	NewUDPTransport = runtime.NewUDPTransport
-	// NewLossyTransport wraps a transport with i.i.d. loss injection.
-	NewLossyTransport = runtime.NewLossyTransport
+	// NewChaosTransport wraps a transport with failure injection.
+	NewChaosTransport = runtime.NewChaosTransport
 	// NewCluster builds a concurrent gossip deployment.
 	NewCluster = runtime.NewCluster
 	// NewTAGCluster builds a concurrent TAG deployment.

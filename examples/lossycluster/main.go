@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"algossip"
-	"algossip/internal/runtime"
 )
 
 func main() {
@@ -85,7 +84,8 @@ func run() error {
 	fmt.Printf("clean run:        9/9 nodes decoded in %v\n", cleanTime.Round(time.Millisecond))
 
 	// Scenario 2: 30% of all packets dropped.
-	lossy, err := runtime.NewLossyTransport(runtime.NewChanTransport(), 0.3, 99)
+	lossy, err := algossip.NewChaosTransport(algossip.NewChanTransport(),
+		algossip.ChaosConfig{LossRate: 0.3, LossSeed: 99})
 	if err != nil {
 		return err
 	}

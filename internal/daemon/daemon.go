@@ -58,8 +58,8 @@ type Options struct {
 	// Seed roots the deployment's protocol randomness (shared by all
 	// processes; per-node streams are split from it).
 	Seed uint64
-	// LossRate, when positive, wraps the transport with i.i.d. drop
-	// injection seeded by LossSeed.
+	// LossRate, in [0, 1), drops each outgoing envelope i.i.d. in the
+	// chaos layer, seeded by LossSeed.
 	LossRate float64
 	LossSeed uint64
 	// ChaosLatency/ChaosJitter/ChaosCorrupt set the initial degradation of
@@ -132,20 +132,17 @@ func New(opts Options) (*Daemon, error) {
 		return nil, fmt.Errorf("daemon: unknown transport %q (tcp or udp)", opts.Transport)
 	}
 	base := transport
-	if opts.LossRate > 0 {
-		transport, err = runtime.NewLossyTransport(transport, opts.LossRate, opts.LossSeed)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: %w", err)
-		}
-	}
-	// The chaos layer wraps outermost unconditionally: with zero knobs it
-	// is transparent, and its presence is what makes POST /chaos able to
-	// degrade (and heal) a live deployment without a restart.
+	// The chaos layer wraps the socket transport unconditionally: with
+	// zero knobs it is transparent, and its presence is what makes POST
+	// /chaos able to degrade (and heal) a live deployment without a
+	// restart. Injected loss is one of its knobs.
 	chaos, err := runtime.NewChaosTransport(transport, runtime.ChaosConfig{
 		Latency:     opts.ChaosLatency,
 		Jitter:      opts.ChaosJitter,
 		CorruptRate: opts.ChaosCorrupt,
 		Seed:        opts.ChaosSeed,
+		LossRate:    opts.LossRate,
+		LossSeed:    opts.LossSeed,
 	})
 	if err != nil {
 		_ = transport.Close()

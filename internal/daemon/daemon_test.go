@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,73 @@ func TestDaemonConvergeAndDrain(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("daemon never drained")
 		}
+	}
+	checkNoRuntimeGoroutines(t)
+}
+
+// TestDaemonLossDropsExported: envelopes lost to -loss injection are
+// counted in /metrics' algossip_drops_total.
+func TestDaemonLossDropsExported(t *testing.T) {
+	gossip := reserveAddrs(t, 4)
+	peers := make(map[core.NodeID]string, 4)
+	for v, a := range gossip {
+		peers[core.NodeID(v)] = a
+	}
+	d, err := New(Options{
+		Local: []core.NodeID{0, 1, 2, 3}, Peers: peers,
+		GraphName: "ring", GraphN: 4, GraphSeed: 1,
+		K: 2, Interval: 2 * time.Millisecond, Seed: 7,
+		LossRate: 0.5, LossSeed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() { errCh <- d.Run(ctx) }()
+	ctl := d.ControlAddr()
+	for i := 0; i < 2; i++ {
+		post(t, ctl, "/seed", map[string]any{"node": i, "index": i})
+	}
+	post(t, ctl, "/start", nil)
+
+	// Post-done serving keeps gossiping, so drops keep accruing.
+	drops := func() int {
+		resp, err := http.Get("http://" + ctl + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		var metrics bytes.Buffer
+		_, _ = metrics.ReadFrom(resp.Body)
+		for _, line := range strings.Split(metrics.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "algossip_drops_total "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("bad drops line %q", line)
+				}
+				return n
+			}
+		}
+		t.Fatalf("metrics missing algossip_drops_total:\n%s", metrics.String())
+		return 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for drops() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("algossip_drops_total stayed 0 under loss rate 0.5")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	cancel()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Errorf("drain was not clean: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never drained")
 	}
 	checkNoRuntimeGoroutines(t)
 }

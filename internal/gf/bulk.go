@@ -32,6 +32,23 @@ func asBytes(v []Elem) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v))
 }
 
+// u64Bytes reinterprets a []uint64 as its underlying bytes without
+// copying (byte order is irrelevant: callers only XOR).
+func u64Bytes(v []uint64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
+}
+
+// XorWords performs dst[i] ^= src[i] over packed words through
+// subtle.XORBytes, like xorSlice. len(dst) must be at least len(src).
+// Exported for the packed GF(2) backends in linalg.
+func XorWords(dst, src []uint64) {
+	d := u64Bytes(dst[:len(src)])
+	subtle.XORBytes(d, d, u64Bytes(src))
+}
+
 // xorSlice performs dst[i] ^= src[i] for every index of src, word-wise.
 // len(dst) must be at least len(src).
 func xorSlice(dst, src []byte) {

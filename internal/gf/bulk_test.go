@@ -2,6 +2,7 @@ package gf
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"math/rand/v2"
@@ -147,6 +148,39 @@ func TestAddMulSliceLinearity(t *testing.T) {
 			if !bytes.Equal(dst, orig) {
 				t.Fatalf("%s: dst + c*src - c*src != dst (c=%d, n=%d)", f.Name(), c, n)
 			}
+		}
+	}
+}
+
+// TestXorWordsMatchesWordLoop checks XorWords against a plain word loop
+// for every length through 70 words (odd, even and past any vector
+// width), with dst longer than src so the tail must stay untouched, and
+// with dst and src the same slice.
+func TestXorWordsMatchesWordLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	words := func(n int) []uint64 {
+		v := make([]uint64, n)
+		for i := range v {
+			v[i] = rng.Uint64()
+		}
+		return v
+	}
+	for n := 0; n <= 70; n++ {
+		src := words(n)
+		dst := words(n + 3)
+		want := slices.Clone(dst)
+		for i, s := range src {
+			want[i] ^= s
+		}
+		XorWords(dst, src)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("n=%d: XorWords = %x, want %x", n, dst, want)
+		}
+
+		v := words(n)
+		XorWords(v, v)
+		if !slices.Equal(v, make([]uint64, n)) {
+			t.Fatalf("n=%d: XorWords(v, v) = %x, want zeros", n, v)
 		}
 	}
 }

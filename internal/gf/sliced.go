@@ -188,8 +188,6 @@ func (f *GF2m) AddMulSliced(dst, src []uint64, words int, c Elem) {
 				return
 			}
 			f.addMul8(dst, src, words, c)
-		case TierPortable:
-			f.addMul8Portable(dst, src, words, c)
 		default:
 			f.addMul8(dst, src, words, c)
 		}
@@ -205,8 +203,6 @@ func (f *GF2m) AddMulSliced(dst, src []uint64, words int, c Elem) {
 				return
 			}
 			f.addMul4(dst, src, words, c)
-		case TierPortable:
-			f.addMul4Portable(dst, src, words, c)
 		default:
 			f.addMul4(dst, src, words, c)
 		}
@@ -296,6 +292,53 @@ func (f *GF2m) addMul4(dst, src []uint64, words int, c Elem) {
 	r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
 	var ta [16]uint64 // entry 0 stays zero; the rest is overwritten per column
 	for w := 0; w < words; w++ {
+		ta[1] = src[w]
+		ta[2] = src[words+w]
+		ta[4] = src[2*words+w]
+		ta[8] = src[3*words+w]
+		fillSubsets(&ta)
+		dst[w] ^= ta[r0&15]
+		dst[words+w] ^= ta[r1&15]
+		dst[2*words+w] ^= ta[r2&15]
+		dst[3*words+w] ^= ta[r3&15]
+	}
+}
+
+// addMul8Range is the scalar addMul8 column loop starting at word-column
+// `start` — the tail finisher behind the asm plane kernels.
+func (f *GF2m) addMul8Range(dst, src []uint64, words, start int, c Elem) {
+	rows := &f.mulRows[c]
+	r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
+	r4, r5, r6, r7 := rows[4], rows[5], rows[6], rows[7]
+	var ta, tb [16]uint64
+	for w := start; w < words; w++ {
+		ta[1] = src[w]
+		ta[2] = src[words+w]
+		ta[4] = src[2*words+w]
+		ta[8] = src[3*words+w]
+		tb[1] = src[4*words+w]
+		tb[2] = src[5*words+w]
+		tb[4] = src[6*words+w]
+		tb[8] = src[7*words+w]
+		fillSubsets(&ta)
+		fillSubsets(&tb)
+		dst[w] ^= ta[r0&15] ^ tb[r0>>4]
+		dst[words+w] ^= ta[r1&15] ^ tb[r1>>4]
+		dst[2*words+w] ^= ta[r2&15] ^ tb[r2>>4]
+		dst[3*words+w] ^= ta[r3&15] ^ tb[r3>>4]
+		dst[4*words+w] ^= ta[r4&15] ^ tb[r4>>4]
+		dst[5*words+w] ^= ta[r5&15] ^ tb[r5>>4]
+		dst[6*words+w] ^= ta[r6&15] ^ tb[r6>>4]
+		dst[7*words+w] ^= ta[r7&15] ^ tb[r7>>4]
+	}
+}
+
+// addMul4Range is the scalar addMul4 column loop starting at `start`.
+func (f *GF2m) addMul4Range(dst, src []uint64, words, start int, c Elem) {
+	rows := &f.mulRows[c]
+	r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
+	var ta [16]uint64
+	for w := start; w < words; w++ {
 		ta[1] = src[w]
 		ta[2] = src[words+w]
 		ta[4] = src[2*words+w]

@@ -2,12 +2,12 @@ package gf
 
 // Kernel tier dispatch: every streaming GF kernel (byte-row lookup
 // multiply-add, in-place scale, bit-sliced plane multiply-add) exists in
-// up to four implementations, selected once at package init from the CPU
+// up to three implementations, selected once at package init from the CPU
 // features cpufeat detects:
 //
 //	scalar    the original reference loops, kept verbatim — the fuzz and
-//	          equivalence oracle every other tier is checked against.
-//	portable  unrolled pure-Go forms of the same loops (all GOARCH).
+//	          equivalence oracle every other tier is checked against, and
+//	          the tier every host without AVX2 runs.
 //	avx2      amd64 assembly: 32-byte PSHUFB split-nibble lookup for the
 //	          byte-row path, 4-column four-Russians subset tables for the
 //	          bit-sliced path.
@@ -16,7 +16,7 @@ package gf
 //	          matrix of "multiply by c".
 //
 // The environment variable ALGOSSIP_GF_TIER ∈ {auto, gfni, avx2,
-// portable, scalar} overrides auto-selection; a request above what the
+// scalar} overrides auto-selection; a request above what the
 // host supports clamps down to the best supported tier, so forcing
 // "gfni" in a heterogeneous fleet degrades gracefully instead of
 // faulting. All tiers are bit-identical (pinned by TestTierEquivalence
@@ -37,8 +37,6 @@ type Tier uint8
 const (
 	// TierScalar is the original reference code — the equivalence oracle.
 	TierScalar Tier = iota
-	// TierPortable is the unrolled pure-Go tier (every GOARCH).
-	TierPortable
 	// TierAVX2 is the amd64 PSHUFB/plane-XOR assembly tier.
 	TierAVX2
 	// TierGFNI is TierAVX2 with VGF2P8AFFINEQB byte-row kernels.
@@ -50,8 +48,6 @@ func (t Tier) String() string {
 	switch t {
 	case TierScalar:
 		return "scalar"
-	case TierPortable:
-		return "portable"
 	case TierAVX2:
 		return "avx2"
 	case TierGFNI:
@@ -91,7 +87,7 @@ func bestTier() Tier {
 	case cpufeat.X86.HasAVX2:
 		return TierAVX2
 	default:
-		return TierPortable
+		return TierScalar
 	}
 }
 
@@ -103,14 +99,12 @@ func ParseTier(s string) (Tier, error) {
 		return bestTier(), nil
 	case "scalar":
 		return TierScalar, nil
-	case "portable":
-		return TierPortable, nil
 	case "avx2":
 		return TierAVX2, nil
 	case "gfni":
 		return TierGFNI, nil
 	}
-	return TierScalar, fmt.Errorf("gf: unknown ALGOSSIP_GF_TIER %q (want auto|gfni|avx2|portable|scalar)", s)
+	return TierScalar, fmt.Errorf("gf: unknown ALGOSSIP_GF_TIER %q (want auto|gfni|avx2|scalar)", s)
 }
 
 // ActiveTier returns the tier the kernels currently dispatch to.
@@ -122,7 +116,7 @@ func TierSupported(t Tier) bool { return t <= bestTier() }
 // AvailableTiers lists every tier the host supports, lowest first —
 // the set the forced-tier equivalence tests and fuzz targets sweep.
 func AvailableTiers() []Tier {
-	out := []Tier{TierScalar, TierPortable}
+	out := []Tier{TierScalar}
 	if TierSupported(TierAVX2) {
 		out = append(out, TierAVX2)
 	}

@@ -42,12 +42,12 @@ func TestTierParseAndClamp(t *testing.T) {
 		ok   bool
 	}{
 		{"scalar", TierScalar, true},
-		{"portable", TierPortable, true},
 		{"avx2", TierAVX2, true},
 		{"gfni", TierGFNI, true},
 		{"auto", bestTier(), true},
 		{"", bestTier(), true},
 		{"sse9", TierScalar, false},
+		{"portable", TierScalar, false},
 	} {
 		got, err := ParseTier(tc.in)
 		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
@@ -55,8 +55,8 @@ func TestTierParseAndClamp(t *testing.T) {
 		}
 	}
 	avail := AvailableTiers()
-	if len(avail) < 2 || avail[0] != TierScalar || avail[1] != TierPortable {
-		t.Fatalf("AvailableTiers() = %v; want scalar, portable prefix", avail)
+	if len(avail) < 1 || avail[0] != TierScalar {
+		t.Fatalf("AvailableTiers() = %v; want scalar first", avail)
 	}
 	for _, tier := range avail {
 		if !TierSupported(tier) {

@@ -26,8 +26,8 @@ func (v BitVec) Clear(i int) { v[i/64] &^= 1 << (uint(i) % 64) }
 // Get reports whether bit i is 1.
 func (v BitVec) Get(i int) bool { return v[i/64]&(1<<(uint(i)%64)) != 0 }
 
-// Xor performs v ^= w element-wise, through the tier-dispatched XOR
-// kernel. w must not be longer than v.
+// Xor performs v ^= w element-wise through gf.XorWords. w must not be
+// longer than v.
 func (v BitVec) Xor(w BitVec) {
 	gf.XorWords(v, w)
 }

@@ -42,6 +42,15 @@ type ChaosConfig struct {
 	CorruptRate float64
 	// Seed roots the jitter and corruption randomness.
 	Seed uint64
+	// LossRate drops each envelope that escaped the partition check
+	// independently with this probability in [0, 1): i.i.d. packet loss.
+	// Every surviving coded packet is still helpful with probability at
+	// least 1-1/q, so loss only dilates time.
+	LossRate float64
+	// LossSeed roots the loss draws. It is a stream of its own, drawn
+	// after the corruption draw, so the loss pattern of a run does not
+	// move when corruption or jitter is switched on.
+	LossSeed uint64
 	// Partitions optionally schedules partitions in advance.
 	Partitions []PartitionWindow
 }
@@ -55,10 +64,10 @@ type delayed struct {
 
 // ChaosTransport wraps another Transport with controllable degradation:
 // per-envelope latency with jitter, scheduled or interactive partitions,
-// and structural frame corruption. It is the failure-injection layer for
-// validating that coded gossip converges when the network misbehaves —
-// latency only dilates time, partitions heal, and corrupt packets die at
-// the receiver's screens.
+// structural frame corruption and i.i.d. loss. It is the failure-injection
+// layer for validating that coded gossip converges when the network
+// misbehaves — latency and loss only dilate time, partitions heal, and
+// corrupt packets die at the receiver's screens.
 //
 // Partition semantics: the transport sees only the destination of a Send,
 // so a partition isolates its nodes on the inbound side — everything
@@ -72,15 +81,17 @@ type ChaosTransport struct {
 
 	mu      sync.Mutex
 	rng     *rand.Rand
+	lossRng *rand.Rand
 	latency time.Duration
 	jitter  time.Duration
 	corrupt float64
+	loss    float64
 	windows []PartitionWindow
 	parts   map[core.NodeID]bool
 	nCut    uint64
 	nMangle uint64
 
-	stats *counters
+	drops *counters // this layer's own drops: partition cuts and loss
 }
 
 var _ Transport = (*ChaosTransport)(nil)
@@ -90,6 +101,9 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) (*ChaosTransport, error
 	if cfg.CorruptRate < 0 || cfg.CorruptRate > 1 {
 		return nil, fmt.Errorf("runtime: corrupt rate %v outside [0, 1]", cfg.CorruptRate)
 	}
+	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
+		return nil, fmt.Errorf("runtime: loss rate %v outside [0, 1)", cfg.LossRate)
+	}
 	if cfg.Latency < 0 || cfg.Jitter < 0 {
 		return nil, fmt.Errorf("runtime: negative chaos latency (%v) or jitter (%v)", cfg.Latency, cfg.Jitter)
 	}
@@ -97,12 +111,14 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) (*ChaosTransport, error
 		inner:   inner,
 		epoch:   time.Now(),
 		rng:     core.NewRand(cfg.Seed),
+		lossRng: core.NewRand(cfg.LossSeed),
 		latency: cfg.Latency,
 		jitter:  cfg.Jitter,
 		corrupt: cfg.CorruptRate,
+		loss:    cfg.LossRate,
 		windows: cfg.Partitions,
 		parts:   make(map[core.NodeID]bool),
-		stats:   newCounters(),
+		drops:   newCounters(),
 	}, nil
 }
 
@@ -150,9 +166,10 @@ func (t *ChaosTransport) delay() time.Duration {
 }
 
 // Send implements Transport. Envelopes addressed into an active partition
-// are dropped silently (counted, reported as success — a cut link, not an
-// error); surviving envelopes are structurally corrupted with the
-// configured probability before being handed to the inner transport.
+// or lost to the loss draw are dropped silently (counted, reported as
+// success — a cut or lossy link, not an error); the corruption draw comes
+// first, so a corrupted envelope can still be lost, and surviving
+// envelopes are handed to the inner transport.
 func (t *ChaosTransport) Send(ctx context.Context, to core.NodeID, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -168,15 +185,15 @@ func (t *ChaosTransport) Send(ctx context.Context, to core.NodeID, env Envelope)
 	if cut {
 		t.nCut++
 	}
+	lost := !cut && t.loss > 0 && t.lossRng.Float64() < t.loss
 	t.mu.Unlock()
-	if cut {
-		t.stats.dropped(to)
+	if cut || lost {
+		t.drops.dropped(to)
 		return nil
 	}
 	if mangle {
 		env = corruptEnvelope(env, mr)
 	}
-	t.stats.sent(to)
 	return t.inner.Send(ctx, to, env)
 }
 
@@ -289,17 +306,21 @@ func (t *ChaosTransport) Corrupted() uint64 {
 // Close implements Transport.
 func (t *ChaosTransport) Close() error { return t.inner.Close() }
 
-// Stats implements Transport: this layer's counters (Sent = passed
-// through, Dropped = partition cuts) merged with the inner transport's
-// redial counts, the same layering LossyTransport uses.
+// Stats implements Transport: the inner transport's counters, with this
+// layer's partition cuts and loss drops added to Dropped. A dropped
+// envelope never reaches the inner transport, so each envelope counts
+// once — as sent, or as dropped by exactly one layer.
 func (t *ChaosTransport) Stats() TransportStats {
-	s := t.stats.snapshot()
-	inner := t.inner.Stats()
-	s.Total.Redials = inner.Total.Redials
-	for id, ins := range inner.PerNode {
-		ns := s.PerNode[id]
-		ns.Redials = ins.Redials
-		s.PerNode[id] = ns
+	s := t.inner.Stats()
+	own := t.drops.snapshot()
+	if s.PerNode == nil {
+		s.PerNode = make(map[core.NodeID]NodeStats, len(own.PerNode))
+	}
+	s.Total.Dropped += own.Total.Dropped
+	for id, ns := range own.PerNode {
+		ins := s.PerNode[id]
+		ins.Dropped += ns.Dropped
+		s.PerNode[id] = ins
 	}
 	return s
 }

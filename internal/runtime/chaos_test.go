@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -231,6 +232,59 @@ func TestChaosConfigValidation(t *testing.T) {
 		if _, err := NewChaosTransport(NewChanTransport(), cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
+	}
+}
+
+// TestChaosStatsCountInnerDrops: Stats reports the inner transport's
+// backpressure drops next to the layer's own partition cuts, and counts
+// every envelope exactly once.
+func TestChaosStatsCountInnerDrops(t *testing.T) {
+	tr, err := NewChaosTransport(NewChanTransport(), ChaosConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inbox0, err := tr.Register(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Register(1); err != nil {
+		t.Fatal(err)
+	}
+	// Closing ends the latency pipes once node 0's backlog is read.
+	defer func() {
+		_ = tr.Close()
+		for range inbox0 {
+		}
+	}()
+	// Nobody reads node 0's inbox while sending, so once the inner inbox
+	// and the latency pipe behind it are full, the inner transport drops.
+	const sends, cuts = 4 * inboxSize, 5
+	backpressure := 0
+	for i := 0; i < sends; i++ {
+		if err := tr.Send(context.Background(), 0, Envelope{From: 1}); errors.Is(err, ErrBackpressure) {
+			backpressure++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.SetPartition([]core.NodeID{1})
+	for i := 0; i < cuts; i++ {
+		if err := tr.Send(context.Background(), 1, Envelope{From: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if backpressure == 0 {
+		t.Fatal("overfilled inbox produced no backpressure")
+	}
+	s := tr.Stats()
+	if got := s.PerNode[0]; got.Dropped != uint64(backpressure) || got.Sent+got.Dropped != sends {
+		t.Errorf("node 0 stats %+v; want %d dropped of %d", got, backpressure, sends)
+	}
+	if got := s.PerNode[1]; got.Dropped != cuts || got.Sent != 0 {
+		t.Errorf("node 1 stats %+v; want %d cut, 0 sent", got, cuts)
+	}
+	if s.Total.Dropped != uint64(backpressure+cuts) || s.Total.Sent+s.Total.Dropped != sends+cuts {
+		t.Errorf("total stats %+v; want %d dropped of %d", s.Total, backpressure+cuts, sends+cuts)
 	}
 }
 

@@ -31,9 +31,11 @@ func transportCases() []transportCase {
 			return tr
 		}},
 		{"lossy", func(t *testing.T) Transport {
-			// Rate 0 exercises the wrapper's plumbing deterministically;
-			// drop injection itself is covered by TestClusterUnderPacketLoss.
-			tr, err := NewLossyTransport(NewChanTransport(), 0, 7)
+			// The chaos layer with only its loss knob set, as gossipd
+			// mounts it for -loss. Rate 0 exercises the plumbing
+			// deterministically; drop injection itself is covered by
+			// TestClusterUnderPacketLoss.
+			tr, err := NewChaosTransport(NewChanTransport(), ChaosConfig{LossSeed: 7})
 			if err != nil {
 				t.Fatalf("lossy transport: %v", err)
 			}

@@ -134,7 +134,7 @@ func TestClusterUnderPacketLoss(t *testing.T) {
 	g := graph.Grid(3, 3)
 	const k, r = 4, 4
 	base := NewChanTransport()
-	lossy, err := NewLossyTransport(base, 0.3, 99)
+	lossy, err := NewChaosTransport(base, ChaosConfig{LossRate: 0.3, LossSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,13 @@ func TestClusterUnderPacketLoss(t *testing.T) {
 	}
 }
 
+// TestLossyTransportValidation: the chaos layer's i.i.d. loss rate must lie
+// in [0, 1).
 func TestLossyTransportValidation(t *testing.T) {
-	if _, err := NewLossyTransport(NewChanTransport(), 1.0, 1); err == nil {
+	if _, err := NewChaosTransport(NewChanTransport(), ChaosConfig{LossRate: 1.0, LossSeed: 1}); err == nil {
 		t.Error("rate 1.0 accepted")
 	}
-	if _, err := NewLossyTransport(NewChanTransport(), -0.1, 1); err == nil {
+	if _, err := NewChaosTransport(NewChanTransport(), ChaosConfig{LossRate: -0.1, LossSeed: 1}); err == nil {
 		t.Error("negative rate accepted")
 	}
 }

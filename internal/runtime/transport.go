@@ -8,7 +8,8 @@
 // Four transports ship with the package: ChanTransport (in-process, used
 // by examples and tests), TCPTransport and UDPTransport (wire-framed
 // frames over loopback or a real network, see internal/wire), and
-// LossyTransport (i.i.d. drop injection wrapping any of the others).
+// ChaosTransport (latency, partitions, corruption and i.i.d. loss
+// injected around any of the others).
 package runtime
 
 import (

@@ -17,9 +17,9 @@ const maxDatagram = 65000
 
 // UDPTransport carries one wire frame per UDP datagram. Each registered
 // node gets its own packet socket; all Sends share one unbound send
-// socket. UDP's own loss model stacks naturally under the injected-loss
-// layer (LossyTransport) — a dropped datagram is indistinguishable from
-// an injected drop, which is exactly the deployment regime the coded
+// socket. UDP's own loss model stacks naturally under the injected loss
+// of ChaosTransport — a dropped datagram is indistinguishable from an
+// injected drop, which is exactly the deployment regime the coded
 // protocol is built for.
 type UDPTransport struct {
 	sendTimeout time.Duration
