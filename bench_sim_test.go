@@ -101,10 +101,10 @@ func BenchmarkSimPayloadAG(b *testing.B) {
 // BenchmarkSimGenerationAG runs generation-coded uniform AG (the web-scale
 // mode of E16): ⌈k/g⌉ independent small decoders per node instead of one
 // k-wide matrix, capping reduce cost at O(g·rank) per receive. The grid
-// pins both the generation hot path (GenNode emit/receive dispatch,
-// rank/nonEmpty caching) and its scaling against full-span coding: at
-// n=1024/gf=256 the g=16 row should beat the matching BenchmarkSimUniformAG
-// cell by roughly the k/g decode-cost ratio.
+// pins both the generation hot path (the generation pick, per-generation
+// emit/receive, rank/nonEmpty caching) and its scaling against full-span
+// coding: at n=1024/gf=256 the g=16 row should beat the matching
+// BenchmarkSimUniformAG cell by roughly the k/g decode-cost ratio.
 func BenchmarkSimGenerationAG(b *testing.B) {
 	for _, family := range []string{"complete", "randreg"} {
 		for _, n := range []int{256, 1024} {

@@ -62,6 +62,41 @@ var goldenSweeps = []struct {
 			"grid-4x4,uncoded,asynchronous,16,4,1,18\n" +
 			"grid-4x4,uncoded,asynchronous,16,4,2,15\n",
 	},
+	// Generation-coded sweeps: the generation pick, the per-generation
+	// coefficient draws and the full-receiver skip are all pinned here,
+	// in both time models, on the sharded engine, and at g = k.
+	{
+		args: []string{"-graph", "randreg", "-sizes", "16,24", "-trials", "2", "-seed", "5", "-generations", "4"},
+		want: "graph,protocol,model,n,k,trial,rounds\n" +
+			"randreg-16-d4,uniform-ag,synchronous,16,8,0,22\n" +
+			"randreg-16-d4,uniform-ag,synchronous,16,8,1,19\n" +
+			"randreg-24-d4,uniform-ag,synchronous,24,12,0,31\n" +
+			"randreg-24-d4,uniform-ag,synchronous,24,12,1,37\n",
+	},
+	{
+		args: []string{"-graph", "complete", "-sizes", "10,16", "-trials", "2", "-seed", "7", "-model", "async", "-q", "16", "-generations", "3"},
+		want: "graph,protocol,model,n,k,trial,rounds\n" +
+			"complete-10,uniform-ag,asynchronous,10,5,0,8\n" +
+			"complete-10,uniform-ag,asynchronous,10,5,1,9\n" +
+			"complete-16,uniform-ag,asynchronous,16,8,0,11\n" +
+			"complete-16,uniform-ag,asynchronous,16,8,1,17\n",
+	},
+	{
+		args: []string{"-graph", "randreg", "-sizes", "32,48", "-trials", "2", "-seed", "9", "-generations", "4", "-shards", "2", "-single-source"},
+		want: "graph,protocol,model,n,k,trial,rounds\n" +
+			"randreg-32-d4,uniform-ag,synchronous,32,16,0,67\n" +
+			"randreg-32-d4,uniform-ag,synchronous,32,16,1,90\n" +
+			"randreg-48-d4,uniform-ag,synchronous,48,24,0,99\n" +
+			"randreg-48-d4,uniform-ag,synchronous,48,24,1,120\n",
+	},
+	{
+		args: []string{"-graph", "grid", "-sizes", "9,16", "-trials", "2", "-seed", "3", "-kmode", "const:4", "-generations", "4", "-q", "5"},
+		want: "graph,protocol,model,n,k,trial,rounds\n" +
+			"grid-3x3,uniform-ag,synchronous,9,4,0,7\n" +
+			"grid-3x3,uniform-ag,synchronous,9,4,1,6\n" +
+			"grid-4x4,uniform-ag,synchronous,16,4,0,10\n" +
+			"grid-4x4,uniform-ag,synchronous,16,4,1,11\n",
+	},
 }
 
 func TestSweepGoldenOutput(t *testing.T) {

@@ -7,6 +7,10 @@
 // (sim.PartnerSelector): with sim.Uniform it is the *uniform algebraic
 // gossip* of Theorem 1; with sim.Fixed it is the on-tree exchange of TAG's
 // Phase 2 (Lemma 1); with sim.RoundRobin it is a quasirandom variant.
+//
+// New codes all k messages together, as the paper does. NewGen codes
+// them in generations (rlnc.GenConfig) for the generation-size ablation
+// (A7) and the web-scale runs of E16; only the nodes' layout differs.
 package algebraic
 
 import (
@@ -70,6 +74,7 @@ type Protocol struct {
 	sel   sim.PartnerSelector
 	rng   *rand.Rand
 	cfg   Config
+	gen   *rlnc.GenConfig // generation layout (NewGen); nil codes full-span
 
 	nodes   []*rlnc.Node
 	initial [][]rlnc.Message // per-node initial seeds, replayed on churn reset
@@ -86,8 +91,8 @@ type Protocol struct {
 	slots      int   // async wakeup counter
 	obs        sim.Observer
 
-	shard    *shardCore     // sharded-execution state (nil = classic wake loop)
-	slotPkts []*rlnc.Packet // pooled per-slot packets for sharded staging
+	shard    *shardCore    // sharded-execution state (nil = classic wake loop)
+	slotPkts []rlnc.Packet // pooled per-slot packets for sharded staging
 
 	// Adversarial/heterogeneous state (nil/zero for classic runs).
 	traits     []NodeTraits       // per-node profiles (nil = all honest)
@@ -110,6 +115,21 @@ var (
 // New constructs an algebraic gossip protocol over g. The caller seeds the
 // k initial messages with Seed before running.
 func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Config, rng *rand.Rand) (*Protocol, error) {
+	return newProtocol(g, model, sel, cfg, nil, rng)
+}
+
+// NewGen constructs algebraic gossip with generation-coded nodes (see
+// rlnc.GenConfig): the k messages are coded in independent generations,
+// trading per-packet coefficient overhead against a coupon-collector
+// effect across generations. Contacts are EXCHANGE; seed messages with
+// Seed before running.
+func NewGen(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg rlnc.GenConfig, rng *rand.Rand) (*Protocol, error) {
+	inner := cfg.Inner
+	inner.K = cfg.K
+	return newProtocol(g, model, sel, Config{RLNC: inner}, &cfg, rng)
+}
+
+func newProtocol(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Config, gen *rlnc.GenConfig, rng *rand.Rand) (*Protocol, error) {
 	if cfg.Action == 0 {
 		cfg.Action = core.Exchange
 	}
@@ -123,13 +143,14 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 		sel:       sel,
 		rng:       rng,
 		cfg:       cfg,
+		gen:       gen,
 		nodes:     make([]*rlnc.Node, n),
 		initial:   make([][]rlnc.Message, n),
 		doneRound: make([]int, n),
 		obs:       sim.NopObserver{},
 	}
 	for i := range p.nodes {
-		node, err := rlnc.NewNode(cfg.RLNC)
+		node, err := p.newNode()
 		if err != nil {
 			return nil, fmt.Errorf("algebraic: node %d: %w", i, err)
 		}
@@ -142,6 +163,14 @@ func New(g *graph.Graph, model core.TimeModel, sel sim.PartnerSelector, cfg Conf
 		return nil, err
 	}
 	return p, nil
+}
+
+// newNode returns an empty node in the protocol's coding layout.
+func (p *Protocol) newNode() (*rlnc.Node, error) {
+	if p.gen != nil {
+		return rlnc.NewGenNode(*p.gen)
+	}
+	return rlnc.NewNode(p.cfg.RLNC)
 }
 
 // initTraits validates and installs the adversarial/heterogeneous
@@ -203,27 +232,9 @@ func (p *Protocol) EnableSharded(seed uint64, retire bool) error {
 	if p.traits != nil {
 		return errors.New("algebraic: sharded execution does not support adversarial/heterogeneous traits")
 	}
-	p.slotPkts = make([]*rlnc.Packet, 2*len(p.nodes))
-	for i := range p.slotPkts {
-		p.slotPkts[i] = &rlnc.Packet{}
-	}
-	p.shard = newShardCore(p, p.sel, p.cfg.Action, p.cfg.LossRate,
-		p.g, seed, retire, &p.traffic)
+	p.slotPkts = make([]rlnc.Packet, 2*len(p.nodes))
+	p.shard = newShardCore(p, seed, retire)
 	return nil
-}
-
-// shardOps implementation (see shard.go).
-func (p *Protocol) rank(v core.NodeID) int  { return p.nodes[v].Rank() }
-func (p *Protocol) full(v core.NodeID) bool { return p.nodes[v].CanDecode() }
-func (p *Protocol) emitSlot(from core.NodeID, rng *rand.Rand, slot int) bool {
-	return p.nodes[from].EmitInto(rng, p.slotPkts[slot])
-}
-func (p *Protocol) applySlot(to core.NodeID, slot int) bool {
-	if p.nodes[to].ReceiveOwned(p.slotPkts[slot]) {
-		p.refreshDone(to)
-		return true
-	}
-	return false
 }
 
 // ActiveWords implements sim.ShardedProtocol (nil until EnableSharded).
@@ -253,8 +264,9 @@ func (p *Protocol) Seed(v core.NodeID, msg rlnc.Message) {
 }
 
 // SeedAll distributes messages according to assign: message i is placed at
-// node assign[i]. msgs[i] provides the payloads; msgs may be nil in
-// rank-only mode, in which case bare indices are seeded.
+// node assign[i]. msgs[i] provides the payloads and must carry index i;
+// msgs may be nil in rank-only mode, in which case bare indices are
+// seeded.
 func (p *Protocol) SeedAll(assign []core.NodeID, msgs []rlnc.Message) error {
 	if len(assign) != p.cfg.RLNC.K {
 		return errors.New("algebraic: assignment length must equal k")
@@ -274,6 +286,9 @@ func (p *Protocol) SeedAll(assign []core.NodeID, msgs []rlnc.Message) error {
 
 // Name implements sim.Protocol.
 func (p *Protocol) Name() string {
+	if p.gen != nil {
+		return fmt.Sprintf("gen-algebraic-gossip(g=%d)", p.gen.GenSize)
+	}
 	return fmt.Sprintf("algebraic-gossip(%s,%s)", p.sel.Name(), p.cfg.Action)
 }
 
@@ -309,9 +324,6 @@ func (p *Protocol) OnWake(v core.NodeID) {
 // transiently regress on dynamic runs.
 func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 	p.g = ev.Graph
-	if p.shard != nil {
-		p.shard.g = ev.Graph
-	}
 	// The event fires at the boundary before BeginRound(ev.Round), so the
 	// clock is still on the previous round; advance it first so resets
 	// that immediately re-complete are stamped with the rejoin round in
@@ -335,7 +347,11 @@ func (p *Protocol) OnTopologyChange(ev sim.TopologyEvent) {
 // resetNode reinstalls node v as a fresh machine holding only its
 // initial seeds.
 func (p *Protocol) resetNode(v core.NodeID) {
-	p.nodes[v] = rlnc.MustNewNode(p.cfg.RLNC)
+	node, err := p.newNode()
+	if err != nil {
+		panic(err) // unreachable: the same layout built every node at construction
+	}
+	p.nodes[v] = node
 	if p.doneRound[v] >= 0 {
 		p.doneRound[v] = -1
 		p.doneCount--
@@ -532,8 +548,14 @@ func (p *Protocol) Done() bool { return p.doneCount == len(p.nodes) }
 // Traffic returns the protocol's transmission counters.
 func (p *Protocol) Traffic() gossip.Traffic { return p.traffic }
 
-// MessageBits returns the wire size of one of this protocol's messages.
-func (p *Protocol) MessageBits() int { return gossip.MessageBits(p.cfg.RLNC) }
+// MessageBits returns the wire size of one of this protocol's messages,
+// including the generation tag in a generation layout.
+func (p *Protocol) MessageBits() int {
+	if p.gen != nil {
+		return p.gen.MessageBits()
+	}
+	return gossip.MessageBits(p.cfg.RLNC)
+}
 
 // Rank returns node v's current rank.
 func (p *Protocol) Rank(v core.NodeID) int { return p.nodes[v].Rank() }

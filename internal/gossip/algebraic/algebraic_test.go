@@ -2,6 +2,7 @@ package algebraic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"algossip/internal/core"
@@ -357,5 +358,31 @@ func TestGenProtocolSeedValidation(t *testing.T) {
 	}
 	if err := p.SeedAll(make([]core.NodeID, 2), nil); err == nil {
 		t.Error("wrong assignment length accepted")
+	}
+
+	// Misindexed messages are rejected in both layouts with the same
+	// error: two messages carrying index 0 would otherwise leave message 1
+	// unseeded and the run spinning to its round limit.
+	g = graph.Complete(8)
+	msgs := []rlnc.Message{{Index: 0}, {Index: 0}, {Index: 2}, {Index: 3}}
+	inner := rlnc.Config{Field: gf.MustNew(2), K: 4, RankOnly: true}
+	full, err := New(g, core.Synchronous, sim.NewUniform(g), Config{RLNC: inner}, core.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGen(g, core.Synchronous, sim.NewUniform(g),
+		rlnc.GenConfig{Inner: inner, K: 4, GenSize: 2}, core.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type seeder interface {
+		SeedAll([]core.NodeID, []rlnc.Message) error
+		Name() string
+	}
+	for _, p := range []seeder{full, gen} {
+		err := p.SeedAll(RoundRobinAssign(4, g.N()), msgs)
+		if err == nil || !strings.Contains(err.Error(), "message 1 has index 0") {
+			t.Errorf("%s: SeedAll with a misindexed message returned %v", p.Name(), err)
+		}
 	}
 }

@@ -301,40 +301,6 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 	var engineStream uint64
 	var finish func() // gathers detail after the run
 	switch {
-	case (proto == 0 || proto == ProtocolUniformAG) && spec.GenSize > 0:
-		cfg := rlnc.GenConfig{Inner: spec.RLNCConfig(), K: spec.K, GenSize: spec.GenSize}
-		cfg.Inner.K = 0 // derived per generation
-		p, err := algebraic.NewGen(g, spec.Model, spec.Selector.build(g), cfg,
-			core.NewRand(core.SplitSeed(seed, 1)))
-		if err != nil {
-			return out, err
-		}
-		if spec.Observer != nil {
-			p.SetObserver(spec.Observer)
-		}
-		var msgs []rlnc.Message
-		if spec.PayloadLen > 0 {
-			msgs = algebraic.RandomMessages(spec.RLNCConfig(), core.NewRand(core.SplitSeed(seed, 11)))
-		}
-		if err := p.SeedAll(spec.Assign(), msgs); err != nil {
-			return out, err
-		}
-		if spec.Shards > 0 {
-			// Sharded per-node RNG streams derive from stream 12; the
-			// engine stream (2) is still reserved even though the sharded
-			// synchronous loop never draws from it.
-			if err := p.EnableSharded(core.SplitSeed(seed, 12), true); err != nil {
-				return out, err
-			}
-		}
-		out.MessageBits = cfg.MessageBits()
-		proto2, engineStream = p, 2
-		finish = func() {
-			if !spec.Lean {
-				out.NodeDoneRounds = p.DoneRounds()
-			}
-			out.Traffic = p.Traffic()
-		}
 	case proto == 0 || proto == ProtocolUniformAG:
 		cfg := algebraic.Config{RLNC: spec.RLNCConfig(), Action: spec.Action, LossRate: spec.LossRate}
 		assign := spec.Assign()
@@ -357,8 +323,18 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 				}
 			}
 		}
-		p, err := algebraic.New(g, spec.Model, spec.Selector.build(g), cfg,
-			core.NewRand(core.SplitSeed(seed, 1)))
+		// Generation mode changes only the nodes' coding layout; its
+		// restrictions were screened above.
+		var p *algebraic.Protocol
+		var err error
+		if spec.GenSize > 0 {
+			p, err = algebraic.NewGen(g, spec.Model, spec.Selector.build(g),
+				rlnc.GenConfig{Inner: cfg.RLNC, K: spec.K, GenSize: spec.GenSize},
+				core.NewRand(core.SplitSeed(seed, 1)))
+		} else {
+			p, err = algebraic.New(g, spec.Model, spec.Selector.build(g), cfg,
+				core.NewRand(core.SplitSeed(seed, 1)))
+		}
 		if err != nil {
 			return out, err
 		}
@@ -382,6 +358,7 @@ func Execute(spec GossipSpec, proto Protocol, seed uint64) (Outcome, error) {
 				return out, err
 			}
 		}
+		out.MessageBits = p.MessageBits()
 		proto2, engineStream = p, 2
 		finish = func() {
 			if !spec.Lean {

@@ -20,6 +20,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"algossip/internal/core"
@@ -64,7 +65,9 @@ type Options struct {
 	// every message is seeded at an honest process (SeedRoundRobin does
 	// this automatically).
 	ByzantineProcs int
-	// Stderr receives every daemon's stderr (default os.Stderr).
+	// Stderr receives every daemon's stderr (default os.Stderr). Writes
+	// from different daemons are serialized, so it need not be safe for
+	// concurrent use.
 	Stderr io.Writer
 }
 
@@ -147,6 +150,13 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 	}
 	if opts.Stderr == nil {
 		opts.Stderr = os.Stderr
+	}
+	// os/exec hands an *os.File to the child directly, but copies any
+	// other writer on one goroutine per process: those copies must not
+	// interleave writes.
+	stderr := opts.Stderr
+	if _, ok := stderr.(*os.File); !ok {
+		stderr = &lockedWriter{w: stderr}
 	}
 	// Build the topology locally to learn the realized node count (some
 	// families round the requested size).
@@ -240,7 +250,7 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 			args = append(args, "-chaos-corrupt", fmt.Sprint(corrupt))
 		}
 		cmd := exec.Command(bin, args...)
-		cmd.Stderr = opts.Stderr
+		cmd.Stderr = stderr
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			c.Stop()
@@ -284,6 +294,18 @@ func launchOnce(ctx context.Context, opts Options) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// lockedWriter serializes writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 func parseControlLine(line string) (string, bool) {

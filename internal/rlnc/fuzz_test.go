@@ -76,12 +76,13 @@ func FuzzDecoderNeverPanics(f *testing.F) {
 	})
 }
 
-// FuzzGenerationPacket throws malformed generation packets at a GenNode:
-// arbitrary generation tags (including negative and far out of range) and
-// arbitrary coefficient/payload lengths must be screened as unhelpful,
-// never panicked on — generation tags arrive from the wire. After the
-// garbage, a well-formed feed must still bring the node to a clean
-// decode, and a node on a different backend must screen the same packet.
+// FuzzGenerationPacket throws malformed packets at a generation-layout
+// Node: arbitrary generation tags (including negative and far out of
+// range) and arbitrary coefficient/payload lengths must be screened as
+// unhelpful by Receive, ReceiveOwned, WouldHelp and Adapt, never panicked
+// on — generation tags arrive from the wire. After the garbage, a
+// well-formed feed must still bring the node to a clean decode, and a
+// node on a different backend must screen the same packet.
 func FuzzGenerationPacket(f *testing.F) {
 	f.Add(int64(0), []byte{1, 2, 3})
 	f.Add(int64(-1), []byte{})
@@ -105,16 +106,22 @@ func FuzzGenerationPacket(f *testing.F) {
 		for i := range payload {
 			payload[i] %= 251
 		}
-		pkt := &GenPacket{Gen: int(gen), Packet: &Packet{Coeffs: coeffs, Payload: payload}}
+		pkt := &Packet{Gen: int(gen), Coeffs: coeffs, Payload: payload}
+		inLayout := gen >= 0 && gen < int64(cfg.Generations())
+		if !inLayout && (n.WouldHelp(pkt) || n.Adapt(pkt) != nil) {
+			t.Fatalf("generation %d outside the layout accepted", gen)
+		}
+		owned := &Packet{Gen: pkt.Gen, Coeffs: append([]gf.Elem(nil), coeffs...), Payload: append([]byte(nil), payload...)}
+		n.ReceiveOwned(owned)
 		n.Receive(pkt)
 		if n.Rank() < 0 || n.Rank() > k {
 			t.Fatalf("rank %d out of range after malformed packet", n.Rank())
 		}
-		if n.Receive(nil) {
-			t.Fatal("nil packet reported helpful")
+		if n.Receive(nil) || n.ReceiveOwned(nil) || n.WouldHelp(nil) || n.Adapt(nil) != nil {
+			t.Fatal("nil packet accepted")
 		}
-		if n.Receive(&GenPacket{Gen: int(gen)}) {
-			t.Fatal("packet with nil inner reported helpful")
+		if n.Receive(&Packet{Gen: int(gen)}) {
+			t.Fatal("packet without coefficients reported helpful")
 		}
 		// Top up from a full source: the garbage must not have corrupted
 		// any generation's decoder state.
@@ -141,7 +148,7 @@ func FuzzGenerationPacket(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sliced.Receive(pkt) {
+		if sliced.Receive(pkt) || sliced.ReceiveOwned(pkt) || sliced.WouldHelp(pkt) {
 			t.Fatal("generic-backend packet reported helpful on a sliced-backend node")
 		}
 	})

@@ -1,10 +1,6 @@
 package rlnc
 
-import (
-	"errors"
-	"fmt"
-	"math/rand/v2"
-)
+import "fmt"
 
 // GenConfig configures generation-based RLNC: the k messages are split
 // into ⌈k/GenSize⌉ *generations* coded independently, the standard
@@ -73,213 +69,23 @@ func (c GenConfig) GenK(g int) int {
 	return hi - lo
 }
 
-// GenPacket is a coded packet tagged with its generation.
-type GenPacket struct {
-	// Gen identifies the generation the coefficients refer to.
-	Gen int
-	// Packet carries the (per-generation) coefficients and payload.
-	Packet *Packet
-}
-
-// GenNode is per-gossip-node state for generation-based RLNC: one small
-// decoder per generation.
-type GenNode struct {
-	cfg  GenConfig
-	subs []*Node
-	// rank and nonEmpty cache the sums over sub-decoders: large-n wake
-	// loops query Rank/CanDecode on every contact, and recomputing them
-	// as O(Generations()) sums dominated profiles at n = 10^5.
-	rank     int
-	nonEmpty int
-}
-
-// NewGenNode returns an empty generation-coded node.
-func NewGenNode(cfg GenConfig) (*GenNode, error) {
+// NewGenNode returns an empty node in the generation layout: one
+// independent decoder per generation, with every emitted packet tagged by
+// the generation it codes. Inner.K is ignored (derived per generation).
+func NewGenNode(cfg GenConfig) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &GenNode{cfg: cfg, subs: make([]*Node, cfg.Generations())}
-	for g := range n.subs {
-		lo, hi := cfg.genBounds(g)
-		inner := cfg.Inner
-		inner.K = hi - lo
-		sub, err := NewNode(inner)
-		if err != nil {
-			return nil, err
-		}
-		n.subs[g] = sub
+	inner := cfg.Inner
+	inner.K = cfg.K
+	if err := inner.validate(); err != nil {
+		return nil, err
+	}
+	n := &Node{cfg: inner, genSize: cfg.GenSize, parts: make([]part, cfg.Generations())}
+	for g := range n.parts {
+		n.initPart(&n.parts[g], cfg.GenK(g))
 	}
 	return n, nil
-}
-
-// Config returns the node's configuration.
-func (n *GenNode) Config() GenConfig { return n.cfg }
-
-// Rank returns the total rank across generations.
-func (n *GenNode) Rank() int { return n.rank }
-
-// CanDecode reports whether every generation is full rank.
-func (n *GenNode) CanDecode() bool { return n.rank == n.cfg.K }
-
-// bumped records a rank change of sub-decoder g in the cached totals.
-func (n *GenNode) bumped(g, before int) {
-	after := n.subs[g].Rank()
-	n.rank += after - before
-	if before == 0 && after > 0 {
-		n.nonEmpty++
-	}
-}
-
-// Seed installs an initial message (global index).
-func (n *GenNode) Seed(msg Message) {
-	if msg.Index < 0 || msg.Index >= n.cfg.K {
-		panic(fmt.Sprintf("rlnc: seed index %d out of range [0,%d)", msg.Index, n.cfg.K))
-	}
-	g := msg.Index / n.cfg.GenSize
-	lo, _ := n.cfg.genBounds(g)
-	local := msg
-	local.Index = msg.Index - lo
-	before := n.subs[g].Rank()
-	n.subs[g].Seed(local)
-	n.bumped(g, before)
-}
-
-// Emit picks a uniformly random non-empty generation and emits a random
-// combination from it. Returns nil when the node stores nothing.
-// Allocates a fresh packet per call; hot paths use EmitInto with a
-// pooled packet instead.
-func (n *GenNode) Emit(rng *rand.Rand) *GenPacket {
-	p := &GenPacket{}
-	if !n.EmitInto(rng, p) {
-		return nil
-	}
-	return p
-}
-
-// EmitInto fills p with a random combination from a uniformly random
-// non-empty generation, reusing p's backing arrays across generations of
-// different sizes (the inner EmitInto reslices or grows them as needed).
-// It reports false — drawing no randomness — when the node stores
-// nothing yet, mirroring Node.EmitInto. The emitted trajectory is
-// identical to Emit's.
-func (n *GenNode) EmitInto(rng *rand.Rand, p *GenPacket) bool {
-	if n.nonEmpty == 0 {
-		return false
-	}
-	pick := rng.IntN(n.nonEmpty)
-	g := 0
-	for i, s := range n.subs {
-		if s.Rank() == 0 {
-			continue
-		}
-		if pick == 0 {
-			g = i
-			break
-		}
-		pick--
-	}
-	p.Gen = g
-	if p.Packet == nil {
-		p.Packet = &Packet{}
-	}
-	return n.subs[g].EmitInto(rng, p.Packet)
-}
-
-// Receive ingests a packet, reporting whether it was helpful. Malformed
-// packets — nil, generation tag outside [0, Generations()), or inner
-// coefficient/payload lengths that do not match the tagged generation —
-// are screened and reported unhelpful, never panicked on: generation
-// tags arrive from the wire, so an out-of-range tag is an input error,
-// not a programmer error.
-func (n *GenNode) Receive(p *GenPacket) bool {
-	if !n.screen(p) {
-		return false
-	}
-	before := n.subs[p.Gen].Rank()
-	helpful := n.subs[p.Gen].Receive(p.Packet)
-	n.bumped(p.Gen, before)
-	return helpful
-}
-
-// ReceiveOwned is Receive for callers that own the packet (pooled hot
-// path): reduction happens directly in the packet's backing arrays,
-// clobbering their contents, but the arrays are never retained. The same
-// malformed-packet screening applies.
-func (n *GenNode) ReceiveOwned(p *GenPacket) bool {
-	if !n.screen(p) {
-		return false
-	}
-	before := n.subs[p.Gen].Rank()
-	helpful := n.subs[p.Gen].ReceiveOwned(p.Packet)
-	n.bumped(p.Gen, before)
-	return helpful
-}
-
-// Adapt converts a wire-format packet (one coefficient per symbol,
-// lengths matching the tagged generation) into the generation's native
-// backend, mirroring Node.Adapt. Malformed packets — nil, out-of-range
-// generation tag, wrong lengths — return nil instead of panicking:
-// generation tags arrive from the wire.
-func (n *GenNode) Adapt(p *GenPacket) *GenPacket {
-	if p == nil || p.Packet == nil || p.Gen < 0 || p.Gen >= len(n.subs) {
-		return nil
-	}
-	inner := n.subs[p.Gen].Adapt(p.Packet)
-	if inner == nil {
-		return nil
-	}
-	if inner == p.Packet {
-		return p
-	}
-	return &GenPacket{Gen: p.Gen, Packet: inner}
-}
-
-// screen rejects packets whose generation tag or backend shape cannot be
-// delivered to this node's decoders.
-func (n *GenNode) screen(p *GenPacket) bool {
-	if p == nil || p.Packet == nil {
-		return false
-	}
-	if p.Gen < 0 || p.Gen >= len(n.subs) {
-		return false
-	}
-	// The sub-decoders' Receive paths screen lengths, but their
-	// backend-mismatch checks panic (a mismatch is a programmer error on
-	// a single-field link); a wire packet whose arrays belong to a
-	// different backend than the tagged generation is screened here.
-	sub := n.subs[p.Gen]
-	switch {
-	case sub.SlicedMode():
-		return p.Packet.Sliced != nil
-	case sub.BitMode():
-		return p.Packet.Bits != nil
-	default:
-		return p.Packet.Coeffs != nil
-	}
-}
-
-// Decode returns all k messages with global indices. It fails until every
-// generation has full rank.
-func (n *GenNode) Decode() ([]Message, error) {
-	if !n.CanDecode() {
-		return nil, ErrCannotDecode
-	}
-	if n.cfg.Inner.RankOnly {
-		return nil, errors.New("rlnc: decode unavailable in rank-only mode")
-	}
-	out := make([]Message, 0, n.cfg.K)
-	for g, s := range n.subs {
-		lo, _ := n.cfg.genBounds(g)
-		msgs, err := s.Decode()
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range msgs {
-			m.Index += lo
-			out = append(out, m)
-		}
-	}
-	return out, nil
 }
 
 // MessageBits returns the wire size of one generation-coded packet in

@@ -207,3 +207,85 @@ func TestGenCouponCollectorEffect(t *testing.T) {
 			single, full)
 	}
 }
+
+// TestSkipEmitParity: SkipEmit consumes exactly the randomness EmitInto
+// draws — the generation pick, then the picked generation's coefficient
+// draws — on every backend and in both layouts, so a protocol may skip
+// building a packet whose verdict is known without moving the stream.
+func TestSkipEmitParity(t *testing.T) {
+	for _, q := range []int{2, 16, 251} {
+		for _, genSize := range []int{0, 3, 10} {
+			cfg := GenConfig{Inner: Config{Field: gf.MustNew(q), RankOnly: true}, K: 10, GenSize: genSize}
+			var n *Node
+			var err error
+			if genSize == 0 {
+				cfg.Inner.K = cfg.K
+				n, err = NewNode(cfg.Inner)
+			} else {
+				n, err = NewGenNode(cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range []int{0, 1, 4, 9} {
+				n.Seed(Message{Index: i})
+			}
+			for seed := uint64(0); seed < 20; seed++ {
+				emit, skip := core.NewRand(seed), core.NewRand(seed)
+				if !n.EmitInto(emit, &Packet{}) || !n.SkipEmit(skip) {
+					t.Fatal("seeded node reported nothing to emit")
+				}
+				if emit.Uint64() != skip.Uint64() {
+					t.Fatalf("q=%d g=%d seed=%d: SkipEmit drew differently from EmitInto", q, genSize, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestRankCacheMatchesBackends: the cached total and per-generation ranks
+// track the backends' own ranks through seeding, helpful and unhelpful
+// receives.
+func TestRankCacheMatchesBackends(t *testing.T) {
+	for _, q := range []int{2, 16, 251} {
+		cfg := GenConfig{Inner: Config{Field: gf.MustNew(q), PayloadLen: 2}, K: 7, GenSize: 3}
+		src, err := NewGenNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := NewGenNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := core.NewRand(uint64(q))
+		for i := 0; i < cfg.K; i++ {
+			src.Seed(Message{Index: i, Payload: gf.RandBytes(cfg.Inner.Field, 2, rng)})
+		}
+		for step := 0; step < 60; step++ {
+			dst.Receive(src.Emit(rng))
+			total := 0
+			for g := range dst.parts {
+				pt := &dst.parts[g]
+				var r int
+				switch {
+				case pt.bit != nil:
+					r = pt.bit.Rank()
+				case pt.slc != nil:
+					r = pt.slc.Rank()
+				default:
+					r = pt.mat.Rank()
+				}
+				if r != pt.rank {
+					t.Fatalf("q=%d: generation %d cached rank %d, backend %d", q, g, pt.rank, r)
+				}
+				total += r
+			}
+			if total != dst.Rank() {
+				t.Fatalf("q=%d: cached rank %d, backends sum to %d", q, dst.Rank(), total)
+			}
+		}
+		if !dst.CanDecode() {
+			t.Fatalf("q=%d: no convergence in 60 packets", q)
+		}
+	}
+}

@@ -124,7 +124,8 @@ func TestClusterUDPTransport(t *testing.T) {
 
 // TestClusterGenerationMode runs a generation-coded cluster end to end:
 // envelopes carry per-generation coefficient vectors plus the Gen tag,
-// exercising GenNode.Adapt on the receive path and full decode.
+// exercising the generation-layout Node.Adapt on the receive path and
+// full decode.
 func TestClusterGenerationMode(t *testing.T) {
 	g := graph.Grid(3, 3)
 	tr := NewChanTransport()

@@ -250,9 +250,7 @@ func (n *tagNode) handle(ctx context.Context, env Envelope) {
 	case EnvelopePacket:
 		n.mu.Lock()
 		if len(env.Coeffs) > 0 {
-			// Wire format is one coefficient per symbol; Adapt re-packs
-			// for bit-mode (GF(2)) and sliced (GF(2^m)) codecs.
-			n.codec.Receive(n.codec.Adapt(&rlnc.Packet{Coeffs: env.Coeffs, Payload: env.Payload}))
+			receiveWire(n.codec, &env)
 			n.checkDoneLocked()
 		}
 		n.mu.Unlock()
@@ -263,17 +261,11 @@ func (n *tagNode) handle(ctx context.Context, env Envelope) {
 }
 
 func (n *tagNode) sendPacket(ctx context.Context, peer core.NodeID, wantReply bool) {
-	n.mu.Lock()
-	pkt := n.codec.Emit(n.rng)
-	cfg := n.codec.Config()
-	n.mu.Unlock()
 	env := Envelope{Kind: EnvelopePacket, From: n.id, WantReply: wantReply}
-	if pkt != nil {
-		// Bit and sliced packets expand to the one-coefficient-per-symbol
-		// wire format here, mirroring clusterNode.sendPacket.
-		env.Coeffs = pkt.ExpandCoeffs(cfg.K)
-		env.Payload = pkt.ExpandPayload(cfg.PayloadLen)
-	} else if !wantReply {
+	n.mu.Lock()
+	ok := emitWire(n.codec, n.rng, &env)
+	n.mu.Unlock()
+	if !ok && !wantReply {
 		return
 	}
 	_ = n.transport.Send(ctx, peer, env)
